@@ -9,8 +9,12 @@ ActorSystem::ActorSystem(unsigned Parallelism)
     : PoolPtr(std::make_unique<forkjoin::ForkJoinPool>(Parallelism)) {}
 
 ActorSystem::~ActorSystem() {
-  // Stop the workers first; only then is it safe to destroy actors.
-  PoolPtr.reset();
+  // Stop the workers first; only then is it safe to destroy actors. The
+  // pool is destroyed in place rather than by reset(), which would null
+  // PoolPtr before the workers join: an activation still running may
+  // schedule() through it until then.
+  delete PoolPtr.get();
+  PoolPtr.release();
   // Break ActorRef cycles (actors holding refs to each other/themselves)
   // so the cells can actually be reclaimed.
   runtime::Synchronized Sync(CellsLock);

@@ -12,8 +12,8 @@
 /// repeated operations inside one process; execution before the configured
 /// warmup count is *warm-up*, the rest is *steady-state* and is what every
 /// experiment in this repository measures. Custom measurement plugins can
-/// "latch onto benchmark execution events" — our MetricsPlugin collects the
-/// Table 2 metrics exactly that way.
+/// "latch onto benchmark execution events" — the CountersPlugin
+/// (harness/Plugins.h) records every runtime counter per iteration that way.
 ///
 //===----------------------------------------------------------------------===//
 

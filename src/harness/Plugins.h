@@ -1,15 +1,18 @@
-//===- harness/Plugins.h - Stock measurement plugins ------------*- C++ -*-===//
+//===- harness/Plugins.h - Counter snapshot and stock plugins ---*- C++ -*-===//
 //
 // Part of Renaissance-C++, a reproduction of the PLDI'19 Renaissance paper.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ready-made plugins for the harness's §2.2 plugin interface. The paper's
+/// Ready-made plugins for the harness's §2.2 plugin interface, and the one
+/// counter snapshot that they and the CLI's --stats read. The paper's
 /// conclusion proposes the suite for GC and profiler studies; the
-/// AllocationRatePlugin is the natural first tool for that direction: it
-/// tracks per-iteration object/array allocation against wall time, the
-/// quantity GC research starts from.
+/// CountersPlugin is the natural first tool for that direction: it tracks
+/// per-iteration allocation, heap traffic and reclaim pauses against wall
+/// time, the quantities GC research starts from. A study that wants a
+/// forced reclaim between iterations calls runtime::heap::reclaim() from
+/// its own plugin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,72 +24,79 @@
 #include "runtime/Heap.h"
 #include "trace/Trace.h"
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ren {
 namespace harness {
 
-/// Records per-iteration allocation counts and rates.
-class AllocationRatePlugin : public Plugin {
+/// Every counter source of the runtime at one instant: the Table 2 event
+/// counters, the managed heap, STM commits and aborts, and the netsim
+/// load-report publication count. delta() applies each substrate's own
+/// interval rule (MetricSnapshot::delta, HeapStats::delta with its gauges
+/// and high-water mark).
+struct Counters {
+  metrics::MetricSnapshot Metrics;
+  runtime::heap::HeapStats Heap;
+  /// Gauges at the snapshot; a delta carries End's values, because the
+  /// heap's byte counters subtract.
+  uint64_t HeapLiveBytes = 0;
+  double HeapOccupancyPercent = 0.0;
+  uint64_t StmCommits = 0;
+  uint64_t StmAborts = 0;
+  /// netsim::loadReportVersion(): in a delta, the number of load reports
+  /// the interval published.
+  uint64_t LoadReports = 0;
+
+  static Counters take();
+  static Counters delta(const Counters &Begin, const Counters &End);
+
+  /// Every counter as (name, value), in print order. Names carry the layer
+  /// prefixes suitebench reports under: runtime., runtime.heap., stm. and
+  /// netsim.
+  std::vector<std::pair<std::string, double>> named() const;
+};
+
+/// Records the Counters delta of every iteration. An iteration that ran a
+/// netsim LoadGen (LoadGen::run publishes its report process-globally)
+/// also gets that report's coordinated-omission-safe p50/p99/p999 latency
+/// and sustained requests/sec, with no plumbing from the benchmark body.
+class CountersPlugin : public Plugin {
 public:
-  struct IterationAllocation {
+  struct IterationCounters {
     std::string Benchmark;
     unsigned Iteration = 0;
     bool Warmup = false;
-    uint64_t Objects = 0;
-    uint64_t Arrays = 0;
     uint64_t Nanos = 0;
-
-    /// Objects per millisecond of operation time.
-    double objectsPerMs() const {
-      return Nanos == 0 ? 0.0
-                        : static_cast<double>(Objects) /
-                              (static_cast<double>(Nanos) / 1e6);
-    }
+    Counters Delta;
+    /// The scalar fields of the report the iteration published, if any.
+    std::optional<netsim::LoadSummary> Load;
   };
 
   void beforeIteration(const BenchmarkInfo &, unsigned, bool) override {
-    Before = metrics::MetricsRegistry::get().snapshot();
+    Before = Counters::take();
   }
 
   void afterIteration(const BenchmarkInfo &Info, unsigned Index,
                       bool Warmup, uint64_t Nanos) override {
-    metrics::MetricSnapshot After =
-        metrics::MetricsRegistry::get().snapshot();
-    metrics::MetricSnapshot Delta =
-        metrics::MetricSnapshot::delta(Before, After);
-    IterationAllocation Rec;
+    IterationCounters Rec;
     Rec.Benchmark = Info.Name;
     Rec.Iteration = Index;
     Rec.Warmup = Warmup;
-    Rec.Objects = Delta.get(metrics::Metric::Object);
-    Rec.Arrays = Delta.get(metrics::Metric::Array);
     Rec.Nanos = Nanos;
+    Rec.Delta = Counters::delta(Before, Counters::take());
+    if (Rec.Delta.LoadReports > 0)
+      Rec.Load = netsim::lastLoadReport(); // the histogram stays behind
     Records.push_back(std::move(Rec));
   }
 
-  const std::vector<IterationAllocation> &records() const {
-    return Records;
-  }
-
-  /// Mean steady-state allocation rate (objects/ms) across all recorded
-  /// benchmarks (0 when nothing was recorded).
-  double meanSteadyObjectsPerMs() const {
-    double Sum = 0.0;
-    unsigned Count = 0;
-    for (const IterationAllocation &R : Records) {
-      if (R.Warmup)
-        continue;
-      Sum += R.objectsPerMs();
-      ++Count;
-    }
-    return Count == 0 ? 0.0 : Sum / Count;
-  }
+  const std::vector<IterationCounters> &records() const { return Records; }
 
 private:
-  metrics::MetricSnapshot Before;
-  std::vector<IterationAllocation> Records;
+  Counters Before;
+  std::vector<IterationCounters> Records;
 };
 
 /// Emits harness lifecycle events into the tracer and keeps a local record
@@ -148,153 +158,6 @@ private:
   const char *RunName = "run";
   IterationSpan Open;
   std::vector<IterationSpan> Spans;
-};
-
-/// Attaches open-loop load-generator results to benchmark iterations.
-///
-/// A network benchmark that drives a netsim LoadGen publishes its report
-/// process-globally (publishLoadReport — LoadGen::run does it
-/// automatically). This plugin snapshots the publication counter around
-/// each iteration and records one entry per iteration that published,
-/// surfacing coordinated-omission-safe p50/p99/p999 latency and sustained
-/// requests/sec alongside the harness's own timings — no plumbing from
-/// the benchmark body required.
-class NetLatencyPlugin : public Plugin {
-public:
-  struct IterationLoad {
-    std::string Benchmark;
-    unsigned Iteration = 0;
-    bool Warmup = false;
-    std::string Service;
-    uint64_t Completed = 0;
-    uint64_t Failed = 0;
-    uint64_t P50Nanos = 0;
-    uint64_t P99Nanos = 0;
-    uint64_t P999Nanos = 0;
-    uint64_t MaxNanos = 0;
-    double SustainedRps = 0.0;
-  };
-
-  void beforeIteration(const BenchmarkInfo &, unsigned, bool) override {
-    VersionBefore = netsim::loadReportVersion();
-  }
-
-  void afterIteration(const BenchmarkInfo &Info, unsigned Index,
-                      bool Warmup, uint64_t) override {
-    if (netsim::loadReportVersion() == VersionBefore)
-      return; // iteration ran no load generator
-    netsim::LoadReport R = netsim::lastLoadReport();
-    IterationLoad Rec;
-    Rec.Benchmark = Info.Name;
-    Rec.Iteration = Index;
-    Rec.Warmup = Warmup;
-    Rec.Service = R.Service;
-    Rec.Completed = R.Completed;
-    Rec.Failed = R.Failed;
-    Rec.P50Nanos = R.P50;
-    Rec.P99Nanos = R.P99;
-    Rec.P999Nanos = R.P999;
-    Rec.MaxNanos = R.MaxNanos;
-    Rec.SustainedRps = R.sustainedRps();
-    Records.push_back(std::move(Rec));
-  }
-
-  const std::vector<IterationLoad> &records() const { return Records; }
-
-  /// Mean steady-state p99 latency in nanoseconds across recorded
-  /// iterations (0 when nothing was recorded).
-  double meanSteadyP99Nanos() const {
-    double Sum = 0.0;
-    unsigned Count = 0;
-    for (const IterationLoad &R : Records) {
-      if (R.Warmup)
-        continue;
-      Sum += static_cast<double>(R.P99Nanos);
-      ++Count;
-    }
-    return Count == 0 ? 0.0 : Sum / Count;
-  }
-
-private:
-  uint64_t VersionBefore = 0;
-  std::vector<IterationLoad> Records;
-};
-
-/// Records per-iteration managed-heap behaviour: allocation volume, slab
-/// traffic, and reclaim ("GC") pauses from the runtime/Heap.h substrate.
-///
-/// The paper's conclusion proposes the suite for GC studies; this plugin
-/// closes the loop on the managed-heap rework by exposing the substrate's
-/// pause/occupancy counters through the §2.2 plugin interface, the same
-/// way AllocationRatePlugin exposes the object counts. With ForceReclaim
-/// set, the plugin drives a reclaim pass after every iteration (outside
-/// the timed region) so deferred work — the slabs of exited threads — is
-/// attributed to the iteration that produced it, like a forced
-/// young-collection between harness iterations.
-class GcPausePlugin : public Plugin {
-public:
-  struct IterationHeap {
-    std::string Benchmark;
-    unsigned Iteration = 0;
-    bool Warmup = false;
-    uint64_t Nanos = 0;
-
-    /// Interval delta (HeapStats::delta semantics: counters subtract,
-    /// SlabsInUse/Epoch carry the end-of-iteration value).
-    runtime::heap::HeapStats Delta;
-
-    /// Live bytes at the iteration boundary (after the optional forced
-    /// reclaim), not an interval quantity.
-    uint64_t LiveBytesAfter = 0;
-    double OccupancyAfter = 0.0;
-
-    /// Allocated block bytes per millisecond of operation time.
-    double bytesPerMs() const {
-      return Nanos == 0 ? 0.0
-                        : static_cast<double>(Delta.BytesAllocated) /
-                              (static_cast<double>(Nanos) / 1e6);
-    }
-  };
-
-  explicit GcPausePlugin(bool ForceReclaim = false)
-      : ForceReclaim(ForceReclaim) {}
-
-  void beforeIteration(const BenchmarkInfo &, unsigned, bool) override {
-    Before = runtime::heap::stats();
-  }
-
-  void afterIteration(const BenchmarkInfo &Info, unsigned Index,
-                      bool Warmup, uint64_t Nanos) override {
-    if (ForceReclaim)
-      runtime::heap::reclaim();
-    runtime::heap::HeapStats After = runtime::heap::stats();
-    IterationHeap Rec;
-    Rec.Benchmark = Info.Name;
-    Rec.Iteration = Index;
-    Rec.Warmup = Warmup;
-    Rec.Nanos = Nanos;
-    Rec.Delta = runtime::heap::HeapStats::delta(Before, After);
-    Rec.LiveBytesAfter = After.bytesLive();
-    Rec.OccupancyAfter = After.slabOccupancyPercent();
-    Records.push_back(std::move(Rec));
-  }
-
-  const std::vector<IterationHeap> &records() const { return Records; }
-
-  /// Total reclaim-pause nanoseconds across recorded steady-state
-  /// iterations (the "GC time" a pause study starts from).
-  uint64_t steadyReclaimNanos() const {
-    uint64_t Total = 0;
-    for (const IterationHeap &R : Records)
-      if (!R.Warmup)
-        Total += R.Delta.ReclaimTotalNanos;
-    return Total;
-  }
-
-private:
-  bool ForceReclaim;
-  runtime::heap::HeapStats Before;
-  std::vector<IterationHeap> Records;
 };
 
 } // namespace harness

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// An open-loop, coordinated-omission-safe load generator for the netsim
-/// reactor, plus the log-linear latency histogram it records into.
+/// reactor. Latencies land in the suite's log-linear ren::Histogram.
 ///
 /// Open-loop: every request has a *scheduled* send time fixed up front
 /// (arrival index / arrival rate), independent of how fast the server
@@ -21,7 +21,7 @@
 ///
 /// Reports surface p50/p99/p999/max latency and sustained requests/sec;
 /// publishLoadReport exposes the last report process-globally so the
-/// harness's NetLatencyPlugin can attach the numbers to benchmark
+/// harness's CountersPlugin can attach the numbers to benchmark
 /// iterations without plumbing.
 ///
 //===----------------------------------------------------------------------===//
@@ -30,6 +30,7 @@
 #define REN_NETSIM_LOADGEN_H
 
 #include "netsim/NetSim.h"
+#include "support/Histogram.h"
 
 #include <atomic>
 #include <cstdint>
@@ -39,51 +40,6 @@
 
 namespace ren {
 namespace netsim {
-
-/// A fixed-footprint log-linear latency histogram (HdrHistogram in
-/// miniature): power-of-two majors split into 32 linear minors, ~3% value
-/// precision, lock-free relaxed-atomic buckets so completion callbacks on
-/// different reactor shards never contend. Values are nanoseconds.
-class LatencyHistogram {
-public:
-  /// Linear up to 32ns, then 32 minors per power of two; 64-bit range.
-  static constexpr unsigned kBuckets = 1920;
-
-  LatencyHistogram() = default;
-  LatencyHistogram(const LatencyHistogram &Other) { copyFrom(Other); }
-  LatencyHistogram &operator=(const LatencyHistogram &Other) {
-    if (this != &Other)
-      copyFrom(Other);
-    return *this;
-  }
-
-  /// Records one value. Thread-safe, wait-free.
-  void record(uint64_t Nanos);
-
-  /// Total recorded samples.
-  uint64_t count() const;
-
-  /// Largest value recorded (exact, not bucket-rounded).
-  uint64_t maxValue() const { return Max.load(std::memory_order_relaxed); }
-
-  /// Value at quantile \p Q in [0, 1]: the upper edge of the bucket the
-  /// quantile falls in (<= ~3% above the true value). Returns 0 when
-  /// empty; Q >= 1 returns maxValue().
-  uint64_t valueAtQuantile(double Q) const;
-
-  void reset();
-
-  /// Maps a value to its bucket (exposed for the unit tests).
-  static unsigned bucketIndex(uint64_t V);
-  /// Inclusive upper value edge of bucket \p Index.
-  static uint64_t bucketUpperBound(unsigned Index);
-
-private:
-  void copyFrom(const LatencyHistogram &Other);
-
-  std::atomic<uint64_t> Buckets[kBuckets] = {};
-  std::atomic<uint64_t> Max{0};
-};
 
 /// Load generator parameters.
 struct LoadGenOptions {
@@ -124,8 +80,8 @@ struct LoadSample {
   uint64_t sendDelay() const { return SentNs - ScheduledNs; }
 };
 
-/// The outcome of one load-generator run.
-struct LoadReport {
+/// The scalar fields of a load-generator run's report.
+struct LoadSummary {
   std::string Service;
   uint64_t Sent = 0;
   uint64_t Completed = 0; ///< futures that resolved successfully
@@ -139,15 +95,18 @@ struct LoadReport {
   /// generator fell behind its open-loop schedule.
   uint64_t MaxSendDelayNanos = 0;
 
-  LatencyHistogram Histogram;
-  std::vector<LoadSample> Samples; ///< KeepSamples mode only
-
   double sustainedRps() const {
     return ElapsedNanos == 0
                ? 0.0
                : static_cast<double>(Completed) * 1e9 /
                      static_cast<double>(ElapsedNanos);
   }
+};
+
+/// The outcome of one load-generator run.
+struct LoadReport : LoadSummary {
+  ren::Histogram Histogram;
+  std::vector<LoadSample> Samples; ///< KeepSamples mode only
 };
 
 /// Drives an open-loop request schedule against a (real-mode) Server.

@@ -513,6 +513,9 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   futures::Promise<Bytes> P = It->second;
   C.Pending.erase(It);
   Bytes Body(ReplyWire.begin() + 8, ReplyWire.end());
+  // Count before completing: the promise's release publishes the bump, so
+  // a client that saw its reply also sees it in requestsHandled().
+  S.Handled.fetch_add(1, std::memory_order_relaxed);
   // A response completed past its deadline is a failure, not a late
   // success (real mode; in sim the pre-check and wheel govern expiry).
   if (Frame->DeadlineNanos != 0 && !Opts.Deterministic &&
@@ -523,7 +526,6 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
 
   C.State = Connection::RxState::Idle;
   ++C.FramesHandled;
-  S.Handled.fetch_add(1, std::memory_order_relaxed);
 
   if (Opts.Deterministic)
     SimNanos += kSimFrameNanos + kSimByteNanos * Frame->Wire.size();
@@ -584,6 +586,8 @@ void Reactor::runOffloaded(Shard &S, Connection &C, FrameNode *Frame) {
   runtime::noteObjectAlloc(); // the reply envelope
   Bytes Body(ReplyWire.begin() + 8, ReplyWire.end());
 
+  // Counted before completing, as in processFrame.
+  S.Handled.fetch_add(1, std::memory_order_relaxed);
   if (Frame->DeadlineNanos != 0 && Finished >= Frame->DeadlineNanos)
     Frame->Reply.tryFailure("request deadline exceeded");
   else
@@ -594,7 +598,6 @@ void Reactor::runOffloaded(Shard &S, Connection &C, FrameNode *Frame) {
   // poll pop is a release/acquire edge), and the shard cannot touch the
   // connection before that edge — it is parked on this very completion.
   ++C.FramesHandled;
-  S.Handled.fetch_add(1, std::memory_order_relaxed);
 
   // Resume the parked connection: it stayed armed, so producers did not
   // re-notify; this is the exactly-once wakeup.

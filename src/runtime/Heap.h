@@ -14,7 +14,7 @@
 /// slab allocation, epoch-based deferred reclamation for the blocks and
 /// slabs of exited threads, and a `HeapStats` snapshot (bytes
 /// live/allocated, slab occupancy, reclaim pauses) surfaced through the
-/// harness GcPausePlugin.
+/// harness CountersPlugin.
 ///
 /// Design constraints, in priority order:
 ///

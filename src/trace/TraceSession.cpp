@@ -13,45 +13,6 @@ using namespace ren;
 using namespace ren::trace;
 
 //===----------------------------------------------------------------------===//
-// LatencyHistogram
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-unsigned log2Bucket(uint64_t Ns) {
-  unsigned B = 0;
-  while (Ns > 1 && B + 1 < 40) {
-    Ns >>= 1;
-    ++B;
-  }
-  return B;
-}
-
-} // namespace
-
-void LatencyHistogram::add(uint64_t Ns) {
-  ++Buckets[log2Bucket(Ns)];
-  ++Count;
-  TotalNs += Ns;
-  MaxNs = std::max(MaxNs, Ns);
-}
-
-uint64_t LatencyHistogram::quantileNanos(double Q) const {
-  if (Count == 0)
-    return 0;
-  uint64_t Rank = static_cast<uint64_t>(Q * static_cast<double>(Count));
-  if (Rank >= Count)
-    Rank = Count - 1;
-  uint64_t Seen = 0;
-  for (unsigned I = 0; I < Buckets.size(); ++I) {
-    Seen += Buckets[I];
-    if (Seen > Rank)
-      return uint64_t(1) << (I + 1); // upper edge of bucket I
-  }
-  return MaxNs;
-}
-
-//===----------------------------------------------------------------------===//
 // Profile aggregation
 //===----------------------------------------------------------------------===//
 
@@ -79,14 +40,15 @@ TraceProfile ren::trace::buildProfile(const std::vector<TraceEvent> &Events,
       ++M.Contended;
       M.TotalBlockedNs += E.Dur;
       M.MaxBlockedNs = std::max(M.MaxBlockedNs, E.Dur);
-      P.MonitorBlocked.add(E.Dur);
+      P.MonitorBlocked.record(E.Dur);
       break;
     }
     case EventKind::MonitorInflate:
       ++P.MonitorInflations;
       break;
     case EventKind::Park:
-      P.ParkLatency.add(E.Dur);
+      P.ParkLatency.record(E.Dur);
+      P.ParkNsTotal += E.Dur;
       break;
     case EventKind::CasFail:
       ++P.CasFailures;
@@ -118,7 +80,8 @@ TraceProfile ren::trace::buildProfile(const std::vector<TraceEvent> &Events,
       P.TaskQueueNsMax = std::max(P.TaskQueueNsMax, E.A);
       break;
     case EventKind::HeapReclaim:
-      P.GcPause.add(E.Dur);
+      P.GcPause.record(E.Dur);
+      P.GcPauseNsTotal += E.Dur;
       break;
     default:
       break;
@@ -189,21 +152,21 @@ std::string TraceProfile::summary() const {
   std::snprintf(Line, sizeof(Line),
                 "  park: %llu parks, total %.3f ms, p50 ~%.3f ms, p99 "
                 "~%.3f ms, max %.3f ms\n",
-                static_cast<unsigned long long>(ParkLatency.Count),
-                static_cast<double>(ParkLatency.TotalNs) / 1e6,
-                static_cast<double>(ParkLatency.quantileNanos(0.5)) / 1e6,
-                static_cast<double>(ParkLatency.quantileNanos(0.99)) / 1e6,
-                static_cast<double>(ParkLatency.MaxNs) / 1e6);
+                static_cast<unsigned long long>(ParkLatency.count()),
+                static_cast<double>(ParkNsTotal) / 1e6,
+                static_cast<double>(ParkLatency.valueAtQuantile(0.5)) / 1e6,
+                static_cast<double>(ParkLatency.valueAtQuantile(0.99)) / 1e6,
+                static_cast<double>(ParkLatency.maxValue()) / 1e6);
   Emit();
 
-  if (GcPause.Count > 0) {
+  if (uint64_t Passes = GcPause.count()) {
     std::snprintf(Line, sizeof(Line),
                   "  heap: %llu reclaim passes, total %.3f ms, p99 ~%.3f "
                   "ms, max %.3f ms\n",
-                  static_cast<unsigned long long>(GcPause.Count),
-                  static_cast<double>(GcPause.TotalNs) / 1e6,
-                  static_cast<double>(GcPause.quantileNanos(0.99)) / 1e6,
-                  static_cast<double>(GcPause.MaxNs) / 1e6);
+                  static_cast<unsigned long long>(Passes),
+                  static_cast<double>(GcPauseNsTotal) / 1e6,
+                  static_cast<double>(GcPause.valueAtQuantile(0.99)) / 1e6,
+                  static_cast<double>(GcPause.maxValue()) / 1e6);
     Emit();
   }
 

@@ -12,7 +12,7 @@
 ///  - Chrome `trace_event` JSON, loadable in chrome://tracing or Perfetto,
 ///    for timeline inspection of contention windows and park storms;
 ///  - a compact TraceProfile: the top contended monitors (count / total /
-///    max blocked time), a park-latency log2 histogram, per-worker
+///    max blocked time), a park-latency histogram, per-worker
 ///    fork/steal/overflow/idle counts and executor task queue latencies —
 ///    the per-benchmark behavioural detail the companion evaluation paper
 ///    (arXiv:1903.10267) reads off DiSL traces.
@@ -22,6 +22,7 @@
 #ifndef REN_TRACE_TRACESESSION_H
 #define REN_TRACE_TRACESESSION_H
 
+#include "support/Histogram.h"
 #include "trace/Trace.h"
 
 #include <array>
@@ -40,21 +41,6 @@ struct MonitorContention {
   uint64_t MaxBlockedNs = 0;   ///< Worst single blocked duration.
 };
 
-/// A log2-bucketed latency histogram (bucket i counts durations in
-/// [2^i, 2^(i+1)) nanoseconds; bucket 0 also absorbs 0-1ns).
-struct LatencyHistogram {
-  std::array<uint64_t, 40> Buckets = {};
-  uint64_t Count = 0;
-  uint64_t TotalNs = 0;
-  uint64_t MaxNs = 0;
-
-  void add(uint64_t Ns);
-
-  /// Approximate quantile (0..1) from the bucket boundaries; returns the
-  /// upper edge of the bucket containing the quantile, 0 when empty.
-  uint64_t quantileNanos(double Q) const;
-};
-
 /// Per-thread fork/join and parking activity.
 struct WorkerActivity {
   uint32_t Tid = 0;
@@ -69,9 +55,11 @@ struct WorkerActivity {
 /// The compact aggregate profile distilled from a drained event stream.
 struct TraceProfile {
   std::vector<MonitorContention> ContendedMonitors; ///< Sorted, worst first.
-  LatencyHistogram ParkLatency;
-  LatencyHistogram MonitorBlocked;
-  LatencyHistogram GcPause; ///< Managed-heap reclaim pass durations.
+  Histogram ParkLatency;
+  uint64_t ParkNsTotal = 0; ///< Exact sum of ParkLatency's samples.
+  Histogram MonitorBlocked;
+  Histogram GcPause; ///< Managed-heap reclaim pass durations.
+  uint64_t GcPauseNsTotal = 0; ///< Exact sum of GcPause's samples.
   std::vector<WorkerActivity> Workers; ///< Sorted by Tid.
   uint64_t MonitorInflations = 0; ///< Thin -> fat monitor transitions.
   uint64_t CasFailures = 0;

@@ -79,7 +79,7 @@ public:
              Body.size() > sizeof("<html></html>");
     };
 
-    // run() publishes the report; the harness's NetLatencyPlugin picks up
+    // run() publishes the report; the harness's CountersPlugin picks up
     // p50/p99/p999 and sustained rps for this iteration.
     netsim::LoadGen Gen(Srv, Opts);
     Succeeded = Gen.run().Valid;

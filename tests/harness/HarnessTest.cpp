@@ -290,7 +290,7 @@ TEST(HarnessTest, SnapshotDeltasAcrossWarmupSteadyTransition) {
     int Iteration = 0;
   };
   Ramp B;
-  ren::harness::AllocationRatePlugin Plugin;
+  ren::harness::CountersPlugin Plugin;
   Runner R;
   R.addPlugin(Plugin);
   RunResult Result = R.run(B);
@@ -299,15 +299,19 @@ TEST(HarnessTest, SnapshotDeltasAcrossWarmupSteadyTransition) {
   // The per-iteration plugin deltas see each amount individually, across
   // the warmup -> steady boundary.
   ASSERT_EQ(Plugin.records().size(), 4u);
-  EXPECT_EQ(Plugin.records()[0].Objects, 10u);
-  EXPECT_EQ(Plugin.records()[1].Objects, 100u);
-  EXPECT_EQ(Plugin.records()[2].Objects, 1000u);
-  EXPECT_EQ(Plugin.records()[3].Objects, 10000u);
+  auto Objects = [&Plugin](size_t I) {
+    return Plugin.records()[I].Delta.Metrics.get(
+        ren::metrics::Metric::Object);
+  };
+  EXPECT_EQ(Objects(0), 10u);
+  EXPECT_EQ(Objects(1), 100u);
+  EXPECT_EQ(Objects(2), 1000u);
+  EXPECT_EQ(Objects(3), 10000u);
   EXPECT_TRUE(Plugin.records()[1].Warmup);
   EXPECT_FALSE(Plugin.records()[2].Warmup);
 }
 
-TEST(AllocationRatePluginTest, RecordsPerIterationAllocations) {
+TEST(CountersPluginTest, RecordsPerIterationAllocations) {
   class Allocates : public Benchmark {
   public:
     BenchmarkInfo info() const override {
@@ -319,18 +323,23 @@ TEST(AllocationRatePluginTest, RecordsPerIterationAllocations) {
     }
   };
   Allocates B;
-  ren::harness::AllocationRatePlugin Plugin;
+  ren::harness::CountersPlugin Plugin;
   Runner R;
   R.addPlugin(Plugin);
-  R.run(B);
+  RunResult Result = R.run(B);
   ASSERT_EQ(Plugin.records().size(), 3u);
   EXPECT_TRUE(Plugin.records()[0].Warmup);
-  for (const auto &Rec : Plugin.records()) {
-    EXPECT_EQ(Rec.Objects, 100u);
-    EXPECT_EQ(Rec.Arrays, 5u);
+  for (size_t I = 0; I < Plugin.records().size(); ++I) {
+    const auto &Rec = Plugin.records()[I];
+    EXPECT_EQ(Rec.Delta.Metrics.get(ren::metrics::Metric::Object), 100u);
+    EXPECT_EQ(Rec.Delta.Metrics.get(ren::metrics::Metric::Array), 5u);
     EXPECT_EQ(Rec.Benchmark, "alloc");
+    EXPECT_EQ(Rec.Iteration, I);
+    // The operation time the harness measured, so rates need no clock of
+    // their own.
+    EXPECT_EQ(Rec.Nanos, Result.Iterations[I].Nanos);
+    EXPECT_GT(Rec.Nanos, 0u);
   }
-  EXPECT_GT(Plugin.meanSteadyObjectsPerMs(), 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -477,10 +486,33 @@ TEST(TracePluginTest, RecordsSpansEvenWhenTracingDisabled) {
 }
 
 //===----------------------------------------------------------------------===//
-// NetLatencyPlugin: load-generator reports attached to iterations.
+// Counters: one snapshot of every counter source.
 //===----------------------------------------------------------------------===//
 
-TEST(NetLatencyPluginTest, RecordsLoadReportPerIteration) {
+TEST(CountersTest, DeltaSubtractsCountsAndCarriesEndGauges) {
+  Counters Begin, End;
+  Begin.Heap.BytesAllocated = 100;
+  End.Heap.BytesAllocated = 400;
+  End.Heap.SlabsInUse = 3;
+  Begin.HeapLiveBytes = 90;
+  End.HeapLiveBytes = 300;
+  End.HeapOccupancyPercent = 12.5;
+  Begin.StmCommits = 10;
+  End.StmCommits = 13;
+  Counters D = Counters::delta(Begin, End);
+  EXPECT_EQ(D.Heap.BytesAllocated, 300u);
+  EXPECT_EQ(D.StmCommits, 3u);
+  // Gauges are the end-of-interval values, not differences.
+  EXPECT_EQ(D.Heap.SlabsInUse, 3u);
+  EXPECT_EQ(D.HeapLiveBytes, 300u);
+  EXPECT_EQ(D.HeapOccupancyPercent, 12.5);
+}
+
+//===----------------------------------------------------------------------===//
+// CountersPlugin: load-generator reports attached to iterations.
+//===----------------------------------------------------------------------===//
+
+TEST(CountersPluginTest, RecordsLoadReportPerIteration) {
   class DrivesLoad : public Benchmark {
   public:
     BenchmarkInfo info() const override {
@@ -496,7 +528,7 @@ TEST(NetLatencyPluginTest, RecordsLoadReportPerIteration) {
     }
   };
   DrivesLoad B;
-  ren::harness::NetLatencyPlugin Plugin;
+  ren::harness::CountersPlugin Plugin;
   Runner R;
   R.addPlugin(Plugin);
   R.run(B);
@@ -508,32 +540,36 @@ TEST(NetLatencyPluginTest, RecordsLoadReportPerIteration) {
   EXPECT_FALSE(Plugin.records()[1].Warmup);
   for (const auto &Rec : Plugin.records()) {
     EXPECT_EQ(Rec.Benchmark, "netload");
-    EXPECT_EQ(Rec.Service, "plugin-echo");
-    EXPECT_EQ(Rec.Completed, 64u);
-    EXPECT_EQ(Rec.Failed, 0u);
-    EXPECT_GT(Rec.P50Nanos, 0u);
-    EXPECT_LE(Rec.P50Nanos, Rec.P99Nanos);
-    EXPECT_LE(Rec.P99Nanos, Rec.P999Nanos);
-    EXPECT_LE(Rec.P999Nanos, Rec.MaxNanos);
-    EXPECT_GT(Rec.SustainedRps, 0.0);
+    EXPECT_EQ(Rec.Delta.LoadReports, 1u);
+    ASSERT_TRUE(Rec.Load.has_value());
+    EXPECT_EQ(Rec.Load->Service, "plugin-echo");
+    EXPECT_EQ(Rec.Load->Completed, 64u);
+    EXPECT_EQ(Rec.Load->Failed, 0u);
+    EXPECT_GT(Rec.Load->P50, 0u);
+    EXPECT_LE(Rec.Load->P50, Rec.Load->P99);
+    EXPECT_LE(Rec.Load->P99, Rec.Load->P999);
+    EXPECT_LE(Rec.Load->P999, Rec.Load->MaxNanos);
+    EXPECT_GT(Rec.Load->sustainedRps(), 0.0);
   }
-  EXPECT_GT(Plugin.meanSteadyP99Nanos(), 0.0);
 }
 
-TEST(NetLatencyPluginTest, IterationsWithoutLoadRecordNothing) {
+TEST(CountersPluginTest, IterationsWithoutLoadGetNoReport) {
   // The version snapshot means benchmarks that never run a LoadGen do not
   // pick up a stale report published by an earlier benchmark.
   ToyBenchmark B;
-  ren::harness::NetLatencyPlugin Plugin;
+  ren::harness::CountersPlugin Plugin;
   Runner R;
   R.addPlugin(Plugin);
   R.run(B);
-  EXPECT_TRUE(Plugin.records().empty());
-  EXPECT_EQ(Plugin.meanSteadyP99Nanos(), 0.0);
+  ASSERT_EQ(Plugin.records().size(), 5u);
+  for (const auto &Rec : Plugin.records()) {
+    EXPECT_EQ(Rec.Delta.LoadReports, 0u);
+    EXPECT_FALSE(Rec.Load.has_value());
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// GcPausePlugin: managed-heap deltas per iteration.
+// CountersPlugin: managed-heap deltas per iteration.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -559,9 +595,9 @@ public:
 
 } // namespace
 
-TEST(GcPausePluginTest, SnapshotDeltaIsolatesEachIteration) {
+TEST(CountersPluginTest, HeapDeltaIsolatesEachIteration) {
   HeapChurnBenchmark B;
-  ren::harness::GcPausePlugin Plugin;
+  ren::harness::CountersPlugin Plugin;
   Runner R;
   R.addPlugin(Plugin);
   R.run(B);
@@ -575,39 +611,20 @@ TEST(GcPausePluginTest, SnapshotDeltaIsolatesEachIteration) {
     // Every iteration allocated exactly kObjects blocks of this class
     // (the Ref vector itself lives on malloc, not the substrate), and
     // freed them before the after-iteration snapshot.
-    EXPECT_EQ(Rec.Delta.BytesAllocated,
+    EXPECT_EQ(Rec.Delta.Heap.BytesAllocated,
               uint64_t(HeapChurnBenchmark::kObjects) * BlockBytes);
-    EXPECT_EQ(Rec.Delta.BytesAllocated, Rec.Delta.BytesFreed);
-    EXPECT_GT(Rec.bytesPerMs(), 0.0);
+    EXPECT_EQ(Rec.Delta.Heap.BytesAllocated, Rec.Delta.Heap.BytesFreed);
+    EXPECT_GT(Rec.Nanos, 0u);
   }
 }
 
-TEST(GcPausePluginTest, ForcedReclaimAttributesPausesToIterations) {
-  HeapChurnBenchmark B;
-  ren::harness::GcPausePlugin Plugin(/*ForceReclaim=*/true);
-  Runner R;
-  R.addPlugin(Plugin);
-  R.run(B);
-  ASSERT_EQ(Plugin.records().size(), 3u);
-  uint64_t LastEpoch = 0;
-  for (const auto &Rec : Plugin.records()) {
-    // The forced pass runs inside afterIteration, before the snapshot:
-    // each record sees at least its own pause, in its own interval.
-    EXPECT_GE(Rec.Delta.ReclaimPasses, 1u);
-    EXPECT_GT(Rec.Delta.ReclaimTotalNanos, 0u);
-    EXPECT_GT(Rec.Delta.Epoch, LastEpoch); // gauge: strictly advancing
-    LastEpoch = Rec.Delta.Epoch;
-  }
-  EXPECT_GT(Plugin.steadyReclaimNanos(), 0u);
-}
-
-TEST(GcPausePluginTest, HooksRunInAttachOrderWithOtherPlugins) {
-  // Attached after the RecordingPlugin, the GcPausePlugin's hooks run
+TEST(CountersPluginTest, HooksRunInAttachOrderWithOtherPlugins) {
+  // Attached after the RecordingPlugin, the CountersPlugin's hooks run
   // second on the same iteration events — same count, same ordering
   // contract the harness gives every plugin (§2.2).
   HeapChurnBenchmark B;
   RecordingPlugin First;
-  ren::harness::GcPausePlugin Second;
+  ren::harness::CountersPlugin Second;
   Runner R;
   R.addPlugin(First);
   R.addPlugin(Second);

@@ -122,7 +122,7 @@ TEST(MonitorTraceTest, ContendedEnterEmitsSpanInflateAndProfileRow) {
   EXPECT_EQ(Profile.ContendedMonitors[0].Contended, 1u);
   EXPECT_GT(Profile.ContendedMonitors[0].TotalBlockedNs, 0u);
   EXPECT_GE(Profile.MonitorInflations, 1u);
-  EXPECT_EQ(Profile.MonitorBlocked.Count, 1u);
+  EXPECT_EQ(Profile.MonitorBlocked.count(), 1u);
   EXPECT_NE(Profile.summary().find("inflations"), std::string::npos);
 }
 

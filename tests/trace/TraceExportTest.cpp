@@ -446,11 +446,14 @@ TEST(TraceProfileTest, AggregatesSyntheticEventStream) {
   EXPECT_EQ(P.ContendedMonitors[1].TotalBlockedNs, 400u);
   EXPECT_EQ(P.ContendedMonitors[1].MaxBlockedNs, 300u);
   // Park histogram: three parks (two ~1us, one ~1ms). The median rank
-  // lands in the low bucket (upper edge 2^11), the p99 in the high one.
-  EXPECT_EQ(P.ParkLatency.Count, 3u);
-  EXPECT_EQ(P.ParkLatency.MaxNs, uint64_t(1) << 20);
-  EXPECT_EQ(P.ParkLatency.quantileNanos(0.5), uint64_t(1) << 11);
-  EXPECT_EQ(P.ParkLatency.quantileNanos(0.99), uint64_t(1) << 21);
+  // lands in the low bucket, whose log-linear upper edge is 1055 (2^10
+  // rounded up to the next 32nd of its power of two); the p99 lands in
+  // the high one, whose edge is capped at the exact max.
+  EXPECT_EQ(P.ParkLatency.count(), 3u);
+  EXPECT_EQ(P.ParkNsTotal, (uint64_t(1) << 11) + (uint64_t(1) << 20));
+  EXPECT_EQ(P.ParkLatency.maxValue(), uint64_t(1) << 20);
+  EXPECT_EQ(P.ParkLatency.valueAtQuantile(0.5), 1055u);
+  EXPECT_EQ(P.ParkLatency.valueAtQuantile(0.99), uint64_t(1) << 20);
   EXPECT_EQ(P.CasFailures, 3u);
   EXPECT_EQ(P.Bootstraps, 1u);
   EXPECT_EQ(P.TaskRuns, 1u);

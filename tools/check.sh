@@ -6,7 +6,8 @@
 #   tools/check.sh                 # tier-1: configure, build, ctest -L tier1
 #   tools/check.sh --stress        # ... then also run ctest -L stress
 #   tools/check.sh --tsan          # ... then a -DREN_SANITIZE=thread build
-#                                  #     and the runtime/stress tests under it
+#                                  #     and the runtime, fork/join, actor
+#                                  #     and stress tests under it
 #   tools/check.sh --asan          # ... a -DREN_SANITIZE=address build and
 #                                  #     the allocation-substrate tests
 #                                  #     under it (ctest -L alloc:
@@ -118,8 +119,9 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   step "tsan: build"
   cmake --build "$TSAN_DIR" -j "$JOBS"
 
-  step "tsan: runtime tests under TSan"
-  ctest --test-dir "$TSAN_DIR" -R '^test_runtime$' --output-on-failure
+  step "tsan: runtime, fork/join and actor tests under TSan"
+  ctest --test-dir "$TSAN_DIR" -R '^test_(runtime|forkjoin|actors)$' \
+    --output-on-failure
 
   step "tsan: stress label under TSan"
   ctest --test-dir "$TSAN_DIR" -L stress --output-on-failure -j "$JOBS"

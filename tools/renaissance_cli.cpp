@@ -14,7 +14,6 @@
 #include "harness/Harness.h"
 #include "harness/Plugins.h"
 #include "jit/Experiment.h"
-#include "runtime/Heap.h"
 #include "support/Format.h"
 #include "trace/TraceSession.h"
 #include "workloads/Workloads.h"
@@ -40,9 +39,10 @@ void printUsage() {
       "  --warmups N         warmup iterations per benchmark\n"
       "  --csv               emit CSV instead of the text summary\n"
       "  --json              emit JSON instead of the text summary\n"
-      "  --heap-stats        print the managed-heap counter delta for\n"
-      "                      the whole run (allocations, slab traffic,\n"
-      "                      reclaim pauses) after the results\n"
+      "  --stats             print every runtime counter's delta over the\n"
+      "                      whole run (events, managed heap, STM, load\n"
+      "                      reports), one 'name value' line each, after\n"
+      "                      the results (on stderr with --csv/--json)\n"
       "  --jit-config C      also run each benchmark's mini-JIT kernel\n"
       "                      under compiler configuration C (graal, c2 or\n"
       "                      tiered) and print its warmup summary: first\n"
@@ -52,6 +52,7 @@ void printUsage() {
       "  --trace=FILE        record runtime events to FILE as Chrome\n"
       "                      trace_event JSON (chrome://tracing, Perfetto)\n"
       "  --trace-summary     print the contention/park/steal profile\n"
+      "                      (on stderr with --csv/--json)\n"
       "\n"
       "suites: renaissance, dacapo, scalabench, specjvm2008, all\n");
 }
@@ -131,7 +132,7 @@ int main(int Argc, char **Argv) {
   Runner::Options Opts;
   bool Csv = false, Json = false;
   bool TraceSummary = false;
-  bool HeapStatsWanted = false;
+  bool StatsWanted = false;
   std::string TracePath;
   std::string JitConfig;
   std::vector<std::string> Selection;
@@ -175,8 +176,8 @@ int main(int Argc, char **Argv) {
       TraceSummary = true;
       continue;
     }
-    if (Arg == "--heap-stats") {
-      HeapStatsWanted = true;
+    if (Arg == "--stats") {
+      StatsWanted = true;
       continue;
     }
     if (Arg == "--jit-config") {
@@ -245,9 +246,12 @@ int main(int Argc, char **Argv) {
   }
 
   bool Tracing = !TracePath.empty() || TraceSummary;
-  runtime::heap::HeapStats HeapBefore;
-  if (HeapStatsWanted)
-    HeapBefore = runtime::heap::stats();
+  // Reports go after the results document: on stdout in text mode, on
+  // stderr with --csv or --json so stdout stays one parseable document.
+  std::FILE *Report = Csv || Json ? stderr : stdout;
+  Counters Before;
+  if (StatsWanted)
+    Before = Counters::take();
   Runner R(Opts);
   TracePlugin Tracer;
   ren::trace::TraceSession Session;
@@ -292,36 +296,12 @@ int main(int Argc, char **Argv) {
                    TracePath.c_str());
     }
     if (TraceSummary)
-      std::fputs(Session.profile().summary().c_str(), stdout);
+      std::fputs(Session.profile().summary().c_str(), Report);
   }
 
-  if (HeapStatsWanted) {
-    using runtime::heap::HeapStats;
-    HeapStats After = runtime::heap::stats();
-    HeapStats D = HeapStats::delta(HeapBefore, After);
-    std::printf(
-        "heap stats (delta over the run):\n"
-        "  allocated:       %llu bytes in %llu small + %llu large allocs\n"
-        "  freed:           %llu bytes (%llu routed cross-thread)\n"
-        "  live at exit:    %llu bytes, %.1f%% slab occupancy\n"
-        "  slabs:           %llu in use, %llu recycled, %llu orphans "
-        "adopted, %llu regions mapped\n"
-        "  reclaim:         %llu passes, %.3f ms total, %.3f ms max "
-        "pause\n",
-        static_cast<unsigned long long>(D.BytesAllocated),
-        static_cast<unsigned long long>(D.SmallAllocs),
-        static_cast<unsigned long long>(D.LargeAllocs),
-        static_cast<unsigned long long>(D.BytesFreed),
-        static_cast<unsigned long long>(D.RemoteFrees),
-        static_cast<unsigned long long>(After.bytesLive()),
-        After.slabOccupancyPercent(),
-        static_cast<unsigned long long>(D.SlabsInUse),
-        static_cast<unsigned long long>(D.SlabsRecycled),
-        static_cast<unsigned long long>(D.OrphanSlabsAdopted),
-        static_cast<unsigned long long>(D.RegionsAllocated),
-        static_cast<unsigned long long>(D.ReclaimPasses),
-        static_cast<double>(D.ReclaimTotalNanos) / 1e6,
-        static_cast<double>(D.ReclaimMaxNanos) / 1e6);
-  }
+  if (StatsWanted)
+    for (const auto &[Name, Value] :
+         Counters::delta(Before, Counters::take()).named())
+      std::fprintf(Report, "%s %.15g\n", Name.c_str(), Value);
   return 0;
 }
