@@ -39,11 +39,13 @@ ren::bench::ScopedBenchTrace::ScopedBenchTrace() {
   Path = Env;
   Session = std::make_unique<trace::TraceSession>();
   Session->start();
+  Drainer = std::make_unique<trace::PeriodicDrainer>(*Session);
 }
 
 ren::bench::ScopedBenchTrace::~ScopedBenchTrace() {
   if (!Session)
     return;
+  Drainer.reset();
   Session->stop();
   if (!Session->writeChromeJson(Path)) {
     std::fprintf(stderr, "warning: cannot write REN_TRACE file '%s'\n",

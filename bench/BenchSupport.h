@@ -49,10 +49,10 @@ std::vector<harness::RunResult> collectAllMetrics(bool Quick);
 
 /// Environment-driven tracing for the figure/table binaries: if REN_TRACE
 /// is set to a file path, the constructor starts a TraceSession (with a
-/// TracePlugin the caller should attach to its Runner) and the destructor
-/// writes the Chrome trace JSON there; if REN_TRACE_SUMMARY is also set,
-/// the aggregate profile is printed to stderr. Inactive (and free) when
-/// the variable is unset.
+/// TracePlugin the caller should attach to its Runner) drained by a
+/// PeriodicDrainer, and the destructor writes the Chrome trace JSON
+/// there; if REN_TRACE_SUMMARY is also set, the aggregate profile is
+/// printed to stderr. Inactive (and free) when the variable is unset.
 class ScopedBenchTrace {
 public:
   ScopedBenchTrace();
@@ -69,6 +69,7 @@ public:
 private:
   std::string Path;
   std::unique_ptr<trace::TraceSession> Session;
+  std::unique_ptr<trace::PeriodicDrainer> Drainer;
   harness::TracePlugin Plugin;
 };
 

@@ -156,7 +156,7 @@ LoadReport LoadGen::run() {
     S->InFlight.fetch_add(1, std::memory_order_relaxed);
     futures::Future<Bytes> Fut =
         Conns[static_cast<size_t>(Seq % Conns.size())]->call(
-            std::move(Req), Opts.DeadlineNanos);
+            std::move(Req));
     ++SentCount;
 
     Fut.onComplete(

@@ -17,7 +17,9 @@
 /// late requests suffered is part of their latency, exactly as a real
 /// user would experience it. A closed-loop harness that measures service
 /// time only would silently drop that wait; the unit test in
-/// tests/netsim/LoadGenTest.cpp pins the difference.
+/// tests/netsim/LoadGenTest.cpp pins the difference. Requests carry no
+/// deadline: a stuck server stalls the schedule at the in-flight window,
+/// and stop() is the way to abort a run.
 ///
 /// Reports surface p50/p99/p999/max latency and sustained requests/sec;
 /// publishLoadReport exposes the last report process-globally so the
@@ -56,10 +58,6 @@ struct LoadGenOptions {
   unsigned MaxInFlight = 1024;
   /// Default request payload size (MakeRequest overrides).
   size_t PayloadBytes = 32;
-  /// Per-request deadline (ns after send, 0 = none): requests that miss
-  /// it resolve as failures ("request deadline exceeded") and count into
-  /// Failed — the open-loop schedule never blocks on a stuck server.
-  uint64_t DeadlineNanos = 0;
   /// Optional request factory, called with the request sequence number.
   std::function<Bytes(uint64_t)> MakeRequest;
   /// Optional response validator; successes it accepts count as Valid.

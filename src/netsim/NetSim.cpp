@@ -67,13 +67,6 @@ futures::Future<Bytes> ClientConnection::call(Bytes Request) {
   return Conn->call(std::move(Request));
 }
 
-futures::Future<Bytes> ClientConnection::call(Bytes Request,
-                                              uint64_t DeadlineAfterNanos) {
-  return Conn->call(std::move(Request), DeadlineAfterNanos);
-}
-
-bool ClientConnection::isServerOpen() const { return Conn->isServerOpen(); }
-
 void ClientConnection::close() { Conn->close(); }
 
 //===----------------------------------------------------------------------===//
@@ -97,8 +90,6 @@ std::unique_ptr<ClientConnection> Server::connect() {
 
 uint64_t Server::requestsHandled() { return Core->requestsHandled(); }
 
-size_t Server::connectionsLive() const { return Core->connectionsLive(); }
-
 unsigned Server::shards() const { return Core->shards(); }
 
 bool Server::deterministic() const { return Core->deterministic(); }
@@ -108,9 +99,5 @@ size_t Server::pump(size_t MaxFrames) { return Core->pump(MaxFrames); }
 size_t Server::runUntilIdle() { return Core->runUntilIdle(); }
 
 uint64_t Server::virtualNanos() const { return Core->virtualNanos(); }
-
-void Server::advanceVirtualTime(uint64_t Nanos) {
-  Core->advanceVirtualTime(Nanos);
-}
 
 bool Server::idle() const { return Core->idle(); }

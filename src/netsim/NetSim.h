@@ -18,9 +18,11 @@
 /// tens of thousands the Finagle workloads assume.
 ///
 /// Server/ClientConnection keep the original public surface; ServerOptions
-/// additionally exposes the shard count and the single-threaded
-/// deterministic-simulation mode (seeded event ordering, virtual time)
-/// that the differential test layer drives.
+/// additionally exposes the shard count, the reactor's drain budget and
+/// handler-offload knobs, and the single-threaded deterministic-simulation
+/// mode (seeded event ordering, virtual time) that the differential test
+/// layer drives. The reactor keeps no timers: requests carry no deadline,
+/// and a connection lives until its client closes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,10 +103,6 @@ struct ServerOptions {
   /// A connection whose handler-latency EWMA exceeds this (ns) has its
   /// requests offloaded instead of run inline.
   uint64_t OffloadThresholdNanos = 20000;
-  /// Cull connections idle longer than this many nanoseconds (0 =
-  /// never). Culled connections fail fast on call() and their memory is
-  /// reclaimed once the client drops its handle.
-  uint64_t IdleTimeoutNanos = 0;
 };
 
 /// A client connection handle: request/response with future-based
@@ -118,15 +116,6 @@ public:
 
   /// Sends \p Request and returns a future response.
   futures::Future<Bytes> call(Bytes Request);
-
-  /// Like call(), but the response future fails with "request deadline
-  /// exceeded" unless it completes within \p DeadlineAfterNanos
-  /// (relative; virtual time in deterministic mode).
-  futures::Future<Bytes> call(Bytes Request, uint64_t DeadlineAfterNanos);
-
-  /// False once the server culled this connection for idleness (calls
-  /// fail fast with "connection idle timeout").
-  bool isServerOpen() const;
 
   /// Closes the connection (idempotent). Drain-before-close: requests
   /// already queued are still handled and their responses delivered
@@ -165,11 +154,6 @@ public:
   /// Total requests handled so far (exact once traffic quiesces).
   uint64_t requestsHandled();
 
-  /// Connections currently registered: opened and neither closed nor
-  /// culled-and-released — the observable the idle-cull memory claim is
-  /// tested against.
-  size_t connectionsLive() const;
-
   /// Number of reactor shards backing this server.
   unsigned shards() const;
 
@@ -188,11 +172,6 @@ public:
 
   /// The simulation's virtual clock (deterministic per schedule).
   uint64_t virtualNanos() const;
-
-  /// Advances the virtual clock by \p Nanos and fires every timer that
-  /// came due — the sim-mode path to idle timeouts and request deadlines
-  /// without queueing traffic.
-  void advanceVirtualTime(uint64_t Nanos);
 
   /// True when nothing is queued (sim mode only).
   bool idle() const;

@@ -14,9 +14,10 @@
 ///  - ThreadPoller: the real multi-shard reactor. An MPSC queue of
 ///    intrusive readiness nodes plus a Parker for the shard thread;
 ///    producers are wait-free except one exchange, the consumer spins
-///    briefly and then parks. The sleep/wake handshake is the classic
-///    Dekker store-fence-load: the consumer publishes Sleeping and
-///    re-drains behind a seq_cst fence, the producer pushes and reads
+///    briefly and then parks with no timeout: the next notify (or
+///    shutdown) is its only way out. The sleep/wake handshake is the
+///    classic Dekker store-fence-load: the consumer publishes Sleeping
+///    and re-drains behind a seq_cst fence, the producer pushes and reads
 ///    Sleeping behind one, so the store-buffering outcome (lost wakeup)
 ///    is excluded.
 ///
@@ -36,7 +37,6 @@
 #include "runtime/Park.h"
 
 #include <atomic>
-#include <cstdint>
 #include <vector>
 
 namespace ren {
@@ -61,15 +61,13 @@ public:
   /// enqueued the frame that made the connection readable.
   virtual void notify(ReadyNode *N) = 0;
 
-  /// Appends pending readiness events to \p Out, waiting up to
-  /// \p WaitNanos for the first one: 0 polls without blocking, UINT64_MAX
-  /// blocks until an event or shutdown, anything else is a timed wait
-  /// (the shard's next-timer bound) that may legitimately append nothing.
+  /// Appends pending readiness events to \p Out. With \p Block set, waits
+  /// until at least one event arrives or the poller shuts down; without
+  /// it, probes and may legitimately append nothing.
   /// \returns false once the poller is shut down *and* drained — the
   /// event loop's exit condition (events queued before shutdown are
   /// still delivered, so no armed connection is ever stranded).
-  virtual bool poll(std::vector<ReadyNode *> &Out,
-                    uint64_t WaitNanos = UINT64_MAX) = 0;
+  virtual bool poll(std::vector<ReadyNode *> &Out, bool Block) = 0;
 
   /// Initiates shutdown: poll stops blocking, drains what is queued, and
   /// then reports exhaustion.
@@ -80,8 +78,7 @@ public:
 class ThreadPoller final : public Poller {
 public:
   void notify(ReadyNode *N) override;
-  bool poll(std::vector<ReadyNode *> &Out,
-            uint64_t WaitNanos = UINT64_MAX) override;
+  bool poll(std::vector<ReadyNode *> &Out, bool Block) override;
   void shutdown() override;
 
 private:
@@ -105,9 +102,8 @@ class SimPoller final : public Poller {
 public:
   void notify(ReadyNode *N) override { Ready.push_back(N); }
 
-  bool poll(std::vector<ReadyNode *> &Out,
-            uint64_t WaitNanos = UINT64_MAX) override {
-    (void)WaitNanos; // never blocks: the sim driver owns time
+  bool poll(std::vector<ReadyNode *> &Out, bool Block) override {
+    (void)Block; // never blocks: the sim driver owns time
     Out.insert(Out.end(), Ready.begin(), Ready.end());
     Ready.clear();
     return !Down;

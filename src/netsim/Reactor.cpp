@@ -13,16 +13,6 @@ using namespace ren::netsim;
 
 namespace {
 
-/// A pending request deadline: heap-owned because the request may outlive
-/// its frame (offloaded, or queued in sim). The timer holds a promise
-/// copy and fires tryFailure unconditionally — lazy cancellation: a
-/// completed request makes the failure a no-op, so nobody ever needs to
-/// cancel across threads. Freed when fired or at reactor teardown.
-struct DeadlineTimer {
-  TimerNode Node;
-  futures::Promise<Bytes> Reply;
-};
-
 /// Move-only owner of an offloaded frame while it sits in the executor.
 /// ForkJoinPool's destructor releases never-run tasks without executing
 /// them; without this guard their promises would hang forever instead of
@@ -92,7 +82,7 @@ void ThreadPoller::shutdown() {
       P->unpark();
 }
 
-bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
+bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, bool Block) {
   if (!Waiter.load(std::memory_order_relaxed))
     Waiter.store(&runtime::currentParker(), std::memory_order_release);
   if (drain(Out))
@@ -102,10 +92,8 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
     // only when a post-flag drain finds nothing.
     return drain(Out);
   }
-  if (WaitNanos == 0)
+  if (!Block)
     return true; // non-blocking probe: empty is a valid answer
-  const uint64_t Deadline =
-      WaitNanos == UINT64_MAX ? UINT64_MAX : wallNanos() + WaitNanos;
   for (;;) {
     // Brief spin: readiness edges usually arrive in bursts.
     for (int I = 0; I < 64; ++I) {
@@ -123,27 +111,12 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
       Sleeping.store(false, std::memory_order_relaxed);
       return drain(Out);
     }
-    if (Deadline == UINT64_MAX) {
-      runtime::currentParker().park(); // spurious returns are fine: we loop
-    } else {
-      uint64_t Now = wallNanos();
-      if (Now >= Deadline) {
-        Sleeping.store(false, std::memory_order_relaxed);
-        drain(Out);
-        return true; // timed out: the caller advances its timers
-      }
-      // parkFor is millisecond-grained; round up so we never spin on a
-      // sub-millisecond remainder, and re-check the deadline on wake.
-      uint64_t Millis = (Deadline - Now + 999999) / 1000000;
-      runtime::currentParker().parkFor(Millis ? Millis : 1);
-    }
+    runtime::currentParker().park(); // spurious returns are fine: we loop
     Sleeping.store(false, std::memory_order_relaxed);
     if (drain(Out))
       return true;
     if (ShuttingDown.load(std::memory_order_acquire))
       return drain(Out);
-    if (Deadline != UINT64_MAX && wallNanos() >= Deadline)
-      return true;
   }
 }
 
@@ -154,8 +127,6 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
 Connection::Connection(Reactor &Owner, unsigned ShardIndex, uint32_t ConnId)
     : Owner(Owner), ShardIndex(ShardIndex), ConnId(ConnId) {
   Node.Conn = this;
-  IdleTimer.What = TimerNode::Kind::IdleCull;
-  IdleTimer.Payload = this;
 }
 
 Connection::~Connection() = default;
@@ -173,15 +144,8 @@ void Connection::submit(FrameNode *Frame) {
 }
 
 futures::Future<Bytes> Connection::call(Bytes Request) {
-  return call(std::move(Request), 0);
-}
-
-futures::Future<Bytes> Connection::call(Bytes Request,
-                                        uint64_t DeadlineAfterNanos) {
   if (!ClientOpen.load(std::memory_order_acquire))
     return futures::Future<Bytes>::failed("connection closed");
-  if (!ServerOpen.load(std::memory_order_acquire))
-    return futures::Future<Bytes>::failed("connection idle timeout");
   auto *Frame = runtime::heap::create<FrameNode>();
   uint64_t Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
   Frame->Wire.reserve(Request.size() + 8);
@@ -190,25 +154,6 @@ futures::Future<Bytes> Connection::call(Bytes Request,
   Frame->Wire.insert(Frame->Wire.end(), Request.begin(), Request.end());
   runtime::noteObjectAlloc(); // the wire envelope
   futures::Future<Bytes> Fut = Frame->Reply.future();
-  if (DeadlineAfterNanos != 0) {
-    if (Owner.deterministic()) {
-      // Single-threaded mode: arm the deadline in the shard's wheel at
-      // call time, as Finagle's client stack does. Expiry is driven by
-      // the virtual clock, so firing order is seed-stable.
-      Frame->DeadlineNanos = Owner.SimNanos + DeadlineAfterNanos;
-      auto *D = runtime::heap::create<DeadlineTimer>();
-      D->Node.What = TimerNode::Kind::RequestDeadline;
-      D->Node.Payload = D;
-      D->Reply = Frame->Reply;
-      Owner.Shards[ShardIndex]->Wheel->schedule(&D->Node,
-                                                Frame->DeadlineNanos);
-    } else {
-      // Real mode: the producer cannot touch the shard-private wheel;
-      // the shard enforces the stamp at dequeue (and arms a wheel timer
-      // for offloaded frames, where expiry must fire asynchronously).
-      Frame->DeadlineNanos = wallNanos() + DeadlineAfterNanos;
-    }
-  }
   submit(Frame);
   return Fut;
 }
@@ -242,7 +187,6 @@ Reactor::Reactor(Handler HandleFn, ServerOptions Options)
   assert(Opts.Shards > 0 && "reactor needs at least one shard");
   if (Opts.DrainBudget == 0)
     Opts.DrainBudget = 1;
-  const uint64_t Anchor = Opts.Deterministic ? 0 : wallNanos();
   Shards.reserve(Opts.Shards);
   for (unsigned I = 0; I < Opts.Shards; ++I) {
     auto S = std::make_unique<Shard>();
@@ -250,8 +194,6 @@ Reactor::Reactor(Handler HandleFn, ServerOptions Options)
       S->Events = std::make_unique<SimPoller>();
     else
       S->Events = std::make_unique<ThreadPoller>();
-    S->Wheel = std::make_unique<TimerWheel>(Anchor);
-    S->NowNanos = Anchor;
     if (!Opts.Deterministic && Opts.OffloadHandlers)
       S->Exec = std::make_unique<forkjoin::ForkJoinPool>(
           Opts.OffloadThreads ? Opts.OffloadThreads : 1);
@@ -273,17 +215,6 @@ Reactor::~Reactor() {
   // can go away below.
   for (auto &S : Shards)
     S->Exec.reset();
-  // Drain the wheels: deadline timers own heap nodes and promise copies.
-  for (auto &S : Shards) {
-    std::vector<TimerNode *> Left;
-    S->Wheel->drainAll(Left);
-    for (TimerNode *T : Left)
-      if (T->What == TimerNode::Kind::RequestDeadline) {
-        auto *D = static_cast<DeadlineTimer *>(T->Payload);
-        D->Reply.tryFailure("server destroyed");
-        runtime::heap::destroy(D);
-      }
-  }
   // Defensive sweep: a connection left open holds frames nobody will
   // process now (the contract is to close connections first; this keeps
   // the failure mode "futures fail" rather than "futures hang").
@@ -318,14 +249,6 @@ std::shared_ptr<Connection> Reactor::open() {
     std::lock_guard<std::mutex> Guard(ConnLock);
     Registry.emplace(Id, C);
   }
-  if (Opts.IdleTimeoutNanos > 0) {
-    // Announce the connection to its shard so the idle timer gets armed
-    // (the wheel is shard-private; the announcement rides the normal
-    // readiness path).
-    auto *Reg = runtime::heap::create<FrameNode>();
-    Reg->FrameKind = FrameNode::Kind::Register;
-    C->submit(Reg);
-  }
   return C;
 }
 
@@ -336,11 +259,6 @@ uint64_t Reactor::requestsHandled() const {
   return Total;
 }
 
-size_t Reactor::connectionsLive() const {
-  std::lock_guard<std::mutex> Guard(ConnLock);
-  return Registry.size();
-}
-
 //===----------------------------------------------------------------------===//
 // Shard event loop (real mode)
 //===----------------------------------------------------------------------===//
@@ -349,18 +267,11 @@ void Reactor::shardLoop(Shard &S) {
   std::vector<ReadyNode *> Batch;
   std::deque<Connection *> Run;
   for (;;) {
-    // Block only when the run queue is dry; otherwise probe. The wait is
-    // bounded by the wheel so due timers fire even with no traffic.
-    uint64_t Wait = 0;
-    if (Run.empty())
-      Wait = S.Wheel->nanosToNext(wallNanos());
-    bool Alive = S.Events->poll(Batch, Wait);
+    // Block only when the run queue is dry; otherwise probe.
+    bool Alive = S.Events->poll(Batch, /*Block=*/Run.empty());
     for (ReadyNode *N : Batch)
       Run.push_back(N->Conn);
     Batch.clear();
-
-    S.NowNanos = wallNanos();
-    advanceTimers(S);
 
     // One bounded pass over the batch: a connection that exhausts its
     // drain budget is requeued *behind* this pass, so every ready
@@ -423,15 +334,6 @@ bool Reactor::drainBudgeted(Shard &S, Connection &C) {
 void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   runtime::Ref<FrameNode> Owned(Frame); // frees into the substrate
 
-  if (Frame->FrameKind == FrameNode::Kind::Register) {
-    // Connection announcement: arm the idle timer. No reply, no request
-    // accounting, no virtual-time charge.
-    C.LastActivityNanos = S.NowNanos;
-    if (Opts.IdleTimeoutNanos > 0 && !C.Retired && !C.IdleTimer.scheduled())
-      S.Wheel->schedule(&C.IdleTimer, S.NowNanos + Opts.IdleTimeoutNanos);
-    return;
-  }
-
   if (Frame->FrameKind == FrameNode::Kind::CloseMarker) {
     C.PeerClosed = true;
     C.State = Connection::RxState::Idle;
@@ -450,25 +352,6 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
     // real socket that was already shut down.
     Frame->Reply.tryFailure("connection closed");
     return;
-  }
-
-  if (C.Culled) {
-    // The server culled this connection for idleness before the frame
-    // was drained; the write fails, as on a remotely-closed socket.
-    Frame->Reply.tryFailure("connection idle timeout");
-    return;
-  }
-
-  if (Opts.IdleTimeoutNanos > 0)
-    C.LastActivityNanos = S.NowNanos;
-
-  if (Frame->DeadlineNanos != 0) {
-    // Expired while queued: fail without burning handler time.
-    uint64_t Now = Opts.Deterministic ? SimNanos : wallNanos();
-    if (Now >= Frame->DeadlineNanos) {
-      Frame->Reply.tryFailure("request deadline exceeded");
-      return;
-    }
   }
 
   // --- the per-connection state machine ---
@@ -516,13 +399,7 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   // Count before completing: the promise's release publishes the bump, so
   // a client that saw its reply also sees it in requestsHandled().
   S.Handled.fetch_add(1, std::memory_order_relaxed);
-  // A response completed past its deadline is a failure, not a late
-  // success (real mode; in sim the pre-check and wheel govern expiry).
-  if (Frame->DeadlineNanos != 0 && !Opts.Deterministic &&
-      wallNanos() >= Frame->DeadlineNanos)
-    P.tryFailure("request deadline exceeded");
-  else
-    P.trySuccess(std::move(Body));
+  P.trySuccess(std::move(Body));
 
   C.State = Connection::RxState::Idle;
   ++C.FramesHandled;
@@ -538,23 +415,11 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
 bool Reactor::shouldOffload(const Shard &S, const Connection &C,
                             const FrameNode *Frame) const {
   return S.Exec && Frame->FrameKind == FrameNode::Kind::Request &&
-         !C.PeerClosed && !C.Culled &&
-         C.EwmaNanos.load(std::memory_order_relaxed) >
-             Opts.OffloadThresholdNanos;
+         !C.PeerClosed && C.EwmaNanos.load(std::memory_order_relaxed) >
+                              Opts.OffloadThresholdNanos;
 }
 
 void Reactor::dispatchOffload(Shard &S, Connection &C, FrameNode *Frame) {
-  if (Opts.IdleTimeoutNanos > 0)
-    C.LastActivityNanos = S.NowNanos;
-  if (Frame->DeadlineNanos != 0) {
-    // The shard owns the wheel, so the deadline must be armed here, not
-    // on the executor thread. Lazy cancellation (see DeadlineTimer).
-    auto *D = runtime::heap::create<DeadlineTimer>();
-    D->Node.What = TimerNode::Kind::RequestDeadline;
-    D->Node.Payload = D;
-    D->Reply = Frame->Reply;
-    S.Wheel->schedule(&D->Node, Frame->DeadlineNanos);
-  }
   S.Exec->forkDetached(
       [this, &S, &C, G = OffloadGuard(Frame)]() mutable {
         if (FrameNode *F = G.release())
@@ -575,8 +440,7 @@ void Reactor::runOffloaded(Shard &S, Connection &C, FrameNode *Frame) {
   // promise travels in the frame and completes from this thread.
   uint64_t Started = wallNanos();
   Bytes Response = Handle(Payload);
-  uint64_t Finished = wallNanos();
-  foldEwma(C, Finished - Started);
+  foldEwma(C, wallNanos() - Started);
 
   Bytes ReplyWire;
   ReplyWire.reserve(Response.size() + 8);
@@ -588,10 +452,7 @@ void Reactor::runOffloaded(Shard &S, Connection &C, FrameNode *Frame) {
 
   // Counted before completing, as in processFrame.
   S.Handled.fetch_add(1, std::memory_order_relaxed);
-  if (Frame->DeadlineNanos != 0 && Finished >= Frame->DeadlineNanos)
-    Frame->Reply.tryFailure("request deadline exceeded");
-  else
-    Frame->Reply.trySuccess(std::move(Body));
+  Frame->Reply.trySuccess(std::move(Body));
 
   // FramesHandled is shard-private by convention; this write is ordered
   // against the shard's next access by the notify below (queue push /
@@ -611,58 +472,10 @@ void Reactor::foldEwma(Connection &C, uint64_t SampleNanos) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timers: idle culling and request deadlines
+// Connection retirement
 //===----------------------------------------------------------------------===//
 
-void Reactor::advanceTimers(Shard &S) {
-  S.FiredScratch.clear();
-  S.Wheel->advanceTo(S.NowNanos, S.FiredScratch);
-  for (TimerNode *T : S.FiredScratch)
-    fireTimer(S, T);
-}
-
-void Reactor::fireTimer(Shard &S, TimerNode *T) {
-  switch (T->What) {
-  case TimerNode::Kind::IdleCull: {
-    auto *C = static_cast<Connection *>(T->Payload);
-    if (C->Retired)
-      return; // embedded node; the connection is already on its way out
-    uint64_t Due = C->LastActivityNanos + Opts.IdleTimeoutNanos;
-    if (S.NowNanos < Due) {
-      // Activity since the arm: push the timer out instead of tracking
-      // every frame (the lazy-reschedule idiom all timeout wheels use).
-      S.Wheel->schedule(T, Due);
-      return;
-    }
-    cull(S, *C);
-    return;
-  }
-  case TimerNode::Kind::RequestDeadline: {
-    auto *D = static_cast<DeadlineTimer *>(T->Payload);
-    D->Reply.tryFailure("request deadline exceeded");
-    runtime::heap::destroy(D);
-    return;
-  }
-  case TimerNode::Kind::None:
-    return;
-  }
-}
-
-void Reactor::cull(Shard &S, Connection &C) {
-  C.Culled = true;
-  // Fail-fast for future calls; frames already queued fail at drain.
-  C.ServerOpen.store(false, std::memory_order_release);
-  for (auto &Entry : C.Pending)
-    Entry.second.tryFailure("connection idle timeout");
-  C.Pending.clear();
-  retire(S, C);
-}
-
 void Reactor::retire(Shard &S, Connection &C) {
-  if (C.Retired)
-    return;
-  C.Retired = true;
-  S.Wheel->cancel(&C.IdleTimer);
   std::lock_guard<std::mutex> Guard(ConnLock);
   auto It = Registry.find(C.id());
   if (It != Registry.end()) {
@@ -713,7 +526,7 @@ void Reactor::sweepGraveyard(Shard &S) {
 void Reactor::gatherSimReady() {
   std::vector<ReadyNode *> Batch;
   for (auto &S : Shards)
-    S->Events->poll(Batch, 0);
+    S->Events->poll(Batch, /*Block=*/false);
   for (ReadyNode *N : Batch)
     SimReady.push_back(N->Conn);
 }
@@ -731,17 +544,8 @@ bool Reactor::idle() const {
 size_t Reactor::pump(size_t MaxFrames) {
   assert(Opts.Deterministic &&
          "pump() drives deterministic reactors; real shards self-drive");
-  auto FireDueTimers = [this] {
-    for (auto &S : Shards) {
-      S->NowNanos = SimNanos;
-      advanceTimers(*S);
-    }
-  };
   size_t Processed = 0;
   while (Processed < MaxFrames) {
-    // Virtual time advanced by the previous frame: fire what came due
-    // before picking the next event, as a real shard round would.
-    FireDueTimers();
     gatherSimReady();
     if (SimReady.empty())
       break;
@@ -752,9 +556,7 @@ size_t Reactor::pump(size_t MaxFrames) {
     Connection *C = SimReady[Pick];
     auto *Frame = static_cast<FrameNode *>(C->Inbound.pop());
     if (Frame) {
-      Shard &S = *Shards[C->ShardIndex];
-      S.NowNanos = SimNanos;
-      processFrame(S, *C, Frame);
+      processFrame(*Shards[C->ShardIndex], *C, Frame);
       ++Processed;
     }
     // Single-threaded: the disarm/re-check protocol degenerates to a
@@ -765,20 +567,7 @@ size_t Reactor::pump(size_t MaxFrames) {
       SimReady.pop_back();
     }
   }
-  FireDueTimers();
   for (auto &S : Shards)
     sweepGraveyard(*S);
   return Processed;
-}
-
-void Reactor::advanceVirtualTime(uint64_t Nanos) {
-  assert(Opts.Deterministic &&
-         "advanceVirtualTime drives the sim clock; real time advances itself");
-  SimNanos += Nanos;
-  for (auto &S : Shards) {
-    S->NowNanos = SimNanos;
-    advanceTimers(*S);
-  }
-  for (auto &S : Shards)
-    sweepGraveyard(*S);
 }

@@ -25,7 +25,7 @@
 /// that races the disarm is either seen by the re-check or re-arms and
 /// re-notifies — never stranded.
 ///
-/// Three mechanisms carry the reactor from the 10^4-connection regime
+/// Two mechanisms carry the reactor from the 10^4-connection regime
 /// toward 10^5-10^6:
 ///
 ///  - *Budgeted batch draining*: a shard drains at most
@@ -46,25 +46,14 @@
 ///    offloaded frame is in flight and the queue is not touched behind
 ///    it. Offload is a no-op in deterministic mode (byte-identical sim).
 ///
-///  - *Timer-wheel timeouts and culling*: each shard owns a hashed
-///    hierarchical TimerWheel (O(1) schedule/cancel) advanced every poll
-///    round — by the wall clock in real mode, by the virtual clock in sim
-///    mode. It drives connection idle timeouts (idle connections are
-///    *culled*: server-side closed, failed fast, and their memory
-///    reclaimed once the client lets go) and request deadlines (surfaced
-///    as failed futures). Culling is what keeps 10^5-10^6 mostly-idle
-///    connections from pinning memory for the lifetime of the reactor.
-///
 /// Deterministic-simulation mode: constructed with
 /// ServerOptions::Deterministic, the reactor spawns no threads and runs
 /// on SimPollers. A single driving thread issues calls and then pumps the
 /// reactor explicitly; the pump picks the next ready connection with a
 /// seeded RNG (exploring cross-connection orderings) while preserving
-/// per-connection FIFO, and advances a virtual clock per frame. Timer
-/// wheels run on the virtual clock, so timeout firing order is a pure
-/// function of the seed and the schedule. Same seed, same schedule, same
-/// virtual time — the proof substrate the differential and regression
-/// tests in tests/netsim build on.
+/// per-connection FIFO, and advances a virtual clock per frame. Same
+/// seed, same schedule, same virtual time — the proof substrate the
+/// differential and regression tests in tests/netsim build on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +65,6 @@
 #include "futures/Future.h"
 #include "netsim/NetSim.h"
 #include "netsim/Poller.h"
-#include "netsim/TimerWheel.h"
 #include "support/Rng.h"
 
 #include <atomic>
@@ -96,18 +84,8 @@ namespace netsim {
 /// markers, the promise acks that the drain finished). Owned by the queue
 /// from push until the shard processes and frees it.
 struct FrameNode : forkjoin::MpscNode {
-  enum class Kind : uint8_t {
-    Request,
-    CloseMarker,
-    /// Announces a new connection to its shard so the shard can schedule
-    /// the idle timer. Only submitted when idle timeouts are enabled;
-    /// carries no payload, expects no reply, advances no clock.
-    Register,
-  };
+  enum class Kind : uint8_t { Request, CloseMarker };
   Kind FrameKind = Kind::Request;
-  /// Absolute deadline for Request frames (0 = none): the future fails
-  /// with "request deadline exceeded" instead of completing late.
-  uint64_t DeadlineNanos = 0;
   Bytes Wire;
   futures::Promise<Bytes> Reply;
 };
@@ -126,14 +104,8 @@ public:
 
   /// Sends \p Request and returns a future response. After close() the
   /// call fails fast; a call racing close() may be failed by the shard
-  /// with the same "connection closed" error. After an idle cull the
-  /// call fails fast with "connection idle timeout".
+  /// with the same "connection closed" error.
   futures::Future<Bytes> call(Bytes Request);
-
-  /// Like call(), but the response future fails with "request deadline
-  /// exceeded" unless it completes within \p DeadlineAfterNanos
-  /// (relative to now; virtual time in deterministic mode).
-  futures::Future<Bytes> call(Bytes Request, uint64_t DeadlineAfterNanos);
 
   /// Drain-before-close: enqueues a close marker *behind* every frame
   /// already pushed and blocks until the shard has processed them all —
@@ -144,11 +116,6 @@ public:
 
   bool isOpen() const {
     return ClientOpen.load(std::memory_order_acquire);
-  }
-
-  /// False once the server side culled this connection for idleness.
-  bool isServerOpen() const {
-    return ServerOpen.load(std::memory_order_acquire);
   }
 
   uint32_t id() const { return ConnId; }
@@ -174,8 +141,6 @@ private:
   forkjoin::MpscQueue Inbound;
   std::atomic<bool> Armed{false};
   std::atomic<bool> ClientOpen{true};
-  /// Cleared by the shard when the idle cull closes the server side.
-  std::atomic<bool> ServerOpen{true};
   std::atomic<uint64_t> NextRequestId{1};
   /// EWMA of recent handler latencies (ns). Updated with relaxed atomics
   /// from the shard (inline runs) and executor threads (offloaded runs);
@@ -186,17 +151,6 @@ private:
   enum class RxState : uint8_t { Idle, Dispatching, Responding };
   RxState State = RxState::Idle;
   bool PeerClosed = false;
-  /// Set by the idle cull: subsequent requests fail instead of running.
-  bool Culled = false;
-  /// Set once the shard has handed this connection to the graveyard
-  /// (close marker processed or culled); guards double-retirement.
-  bool Retired = false;
-  /// Idle timer, embedded so arming a connection's timeout never
-  /// allocates. Scheduled/cancelled/fired only by the owning shard.
-  TimerNode IdleTimer;
-  /// Timestamp of the last processed frame (shard clock), the idle
-  /// timer's re-arm basis.
-  uint64_t LastActivityNanos = 0;
   /// The response demux table: request id -> promise, registered when
   /// the shard reads the request header, erased when the response
   /// envelope comes back from the handler. Offloaded frames bypass it
@@ -205,8 +159,7 @@ private:
   uint64_t FramesHandled = 0;
 };
 
-/// The reactor: shards, pollers, timer wheels, and the connection
-/// registry.
+/// The reactor: shards, pollers, and the connection registry.
 class Reactor {
 public:
   Reactor(Handler Handle, ServerOptions Opts);
@@ -221,11 +174,6 @@ public:
   /// Total request frames handled across all shards (racy snapshot while
   /// traffic is in flight, exact once quiesced).
   uint64_t requestsHandled() const;
-
-  /// Connections currently in the registry: opened and neither closed
-  /// nor culled-and-released. The cull path's memory claim is asserted
-  /// against this (plus RSS in bench_netsim).
-  size_t connectionsLive() const;
 
   unsigned shards() const { return static_cast<unsigned>(Shards.size()); }
   bool deterministic() const { return Opts.Deterministic; }
@@ -248,11 +196,6 @@ public:
   /// processed frame (kSimFrameNanos + size * kSimByteNanos).
   uint64_t virtualNanos() const { return SimNanos; }
 
-  /// Advances the virtual clock by \p Nanos and fires every timer that
-  /// became due — the sim-mode way to reach idle timeouts and request
-  /// deadlines without queueing traffic.
-  void advanceVirtualTime(uint64_t Nanos);
-
   static constexpr uint64_t kSimFrameNanos = 1000;
   static constexpr uint64_t kSimByteNanos = 2;
 
@@ -261,15 +204,10 @@ private:
 
   struct Shard {
     std::unique_ptr<Poller> Events;
-    std::unique_ptr<TimerWheel> Wheel;
     /// Executor seam for slow handlers (real mode, OffloadHandlers).
     std::unique_ptr<forkjoin::ForkJoinPool> Exec;
     std::thread Loop; ///< real mode only
     std::atomic<uint64_t> Handled{0};
-    /// Shard clock, refreshed once per round (wall in real mode, the
-    /// virtual clock in sim mode); timestamp basis for idle tracking and
-    /// deadline pre-checks.
-    uint64_t NowNanos = 0;
     /// Retired connections whose memory cannot be released yet: the
     /// client still holds the handle, or a late producer may still hold
     /// a raw pointer (Armed). Swept incrementally at the bottom of every
@@ -278,9 +216,6 @@ private:
     /// handles) costs O(N) total instead of O(N^2).
     std::vector<std::shared_ptr<Connection>> Graveyard;
     size_t SweepCursor = 0;
-    /// Expired-timer scratch for advanceTimers (avoids a per-round
-    /// allocation).
-    std::vector<TimerNode *> FiredScratch;
   };
 
   void shardLoop(Shard &S);
@@ -308,17 +243,7 @@ private:
   /// Executor-side continuation of dispatchOffload.
   void runOffloaded(Shard &S, Connection &C, FrameNode *Frame);
 
-  /// Dispatches one expired timer (idle cull or request deadline).
-  void fireTimer(Shard &S, TimerNode *T);
-
-  /// Advances \p S's wheel to the shard clock and fires what expired.
-  void advanceTimers(Shard &S);
-
-  /// Server-side close for an idle connection: fail fast from now on,
-  /// then retire.
-  void cull(Shard &S, Connection &C);
-
-  /// Moves \p C from the registry to \p S's graveyard (idempotent).
+  /// Moves \p C from the registry to \p S's graveyard.
   void retire(Shard &S, Connection &C);
 
   /// Releases graveyard connections nobody can reach anymore.
@@ -339,10 +264,10 @@ private:
 
   /// Registry keeping connections alive while reachable: readiness nodes
   /// carry raw Connection pointers, so a connection must outlive any
-  /// event that may still name it. Closed/culled connections move to
-  /// their shard's graveyard and are released once the client handle is
+  /// event that may still name it. Closed connections move to their
+  /// shard's graveyard and are released once the client handle is
   /// gone and the connection is disarmed.
-  mutable std::mutex ConnLock;
+  std::mutex ConnLock;
   std::unordered_map<uint32_t, std::shared_ptr<Connection>> Registry;
 
   // Sim-mode state (single driving thread).

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <map>
 
@@ -87,20 +88,6 @@ TraceProfile ren::trace::buildProfile(const std::vector<TraceEvent> &Events,
       break;
     }
   }
-
-  // Steal events carry the victim worker index in B; we can only attribute
-  // "stolen from" when the victim's own fork events identify its tid —
-  // attribute by scanning steals a second time against the thief-reported
-  // victim index. Victim indexes are pool-local, so this attribution is a
-  // per-index tally rather than a per-thread one; expose it on the thief's
-  // row (tasks this thread took from others) and leave Stolen keyed by
-  // index-as-tid when that index maps to a registered row.
-  for (const TraceEvent &E : Events)
-    if (E.Kind == EventKind::FjSteal) {
-      auto It = Workers.find(static_cast<uint32_t>(E.B));
-      if (It != Workers.end())
-        ++It->second.Stolen;
-    }
 
   for (auto &[Addr, M] : Monitors)
     P.ContendedMonitors.push_back(M);
@@ -191,11 +178,10 @@ std::string TraceProfile::summary() const {
 
   for (const WorkerActivity &W : Workers) {
     std::snprintf(Line, sizeof(Line),
-                  "  worker tid %u: %llu forks, %llu steals, %llu stolen-"
-                  "from, %llu overflows, %llu idle parks (%.3f ms idle)\n",
+                  "  worker tid %u: %llu forks, %llu steals, %llu "
+                  "overflows, %llu idle parks (%.3f ms idle)\n",
                   W.Tid, static_cast<unsigned long long>(W.Forks),
                   static_cast<unsigned long long>(W.Steals),
-                  static_cast<unsigned long long>(W.Stolen),
                   static_cast<unsigned long long>(W.Overflows),
                   static_cast<unsigned long long>(W.IdleParks),
                   static_cast<double>(W.IdleNs) / 1e6);
@@ -299,6 +285,19 @@ void TraceSession::stop() {
   Dropped += TraceRegistry::get().drainAll(Events);
   Active = false;
   GSessionActive.store(false);
+}
+
+PeriodicDrainer::PeriodicDrainer(TraceSession &Session)
+    : Drainer([this, &Session] {
+        while (!Stopping.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+          Session.drain();
+        }
+      }) {}
+
+PeriodicDrainer::~PeriodicDrainer() {
+  Stopping.store(true, std::memory_order_release);
+  Drainer.join();
 }
 
 bool TraceSession::writeChromeJson(const std::string &Path) const {

@@ -26,8 +26,10 @@
 #include "trace/Trace.h"
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace ren {
@@ -46,7 +48,6 @@ struct WorkerActivity {
   uint32_t Tid = 0;
   uint64_t Forks = 0;     ///< Tasks pushed onto the local deque.
   uint64_t Steals = 0;    ///< Successful steals performed by this thread.
-  uint64_t Stolen = 0;    ///< Tasks stolen *from* this thread's deque.
   uint64_t Overflows = 0; ///< Tasks it pushed to the external queue.
   uint64_t IdleParks = 0; ///< Idle park episodes.
   uint64_t IdleNs = 0;    ///< Total idle-parked time.
@@ -127,6 +128,24 @@ private:
   std::vector<TraceEvent> Events;
   uint64_t Dropped = 0;
   bool Active = false;
+};
+
+/// Drains a started session every 0.5 ms from its own thread while in
+/// scope. A per-thread ring laps after 8192 events, which a busy fork/join
+/// worker writes in a few milliseconds, so draining only between
+/// benchmarks loses most of a run. Construct it after start() and destroy
+/// it before stop(); the owner must not touch the session in between.
+class PeriodicDrainer {
+public:
+  explicit PeriodicDrainer(TraceSession &Session);
+  ~PeriodicDrainer();
+
+  PeriodicDrainer(const PeriodicDrainer &) = delete;
+  PeriodicDrainer &operator=(const PeriodicDrainer &) = delete;
+
+private:
+  std::atomic<bool> Stopping{false};
+  std::thread Drainer;
 };
 
 } // namespace trace

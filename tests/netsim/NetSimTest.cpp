@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 using namespace ren::netsim;
@@ -140,6 +141,29 @@ TEST(ServerTest, CloseDrainsQueuedFramesBeforeClosing) {
   EXPECT_EQ(Srv.requestsHandled(), static_cast<uint64_t>(Queued));
   // Post-close calls fail fast; the drained frames already answered.
   EXPECT_TRUE(Conn->call(toBytes("late")).await().isFailure());
+}
+
+TEST(ServerTest, ParkedShardWakesForLateRequest) {
+  // An idle shard spins 64 yields and then parks with no timeout, so the
+  // producer's notify is the only thing that can wake it. Sleeping far
+  // past the spin sends the request to a shard that is already parked.
+  Server Srv("echo", echoHandler, 1);
+  auto Conn = Srv.connect();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto Response = Conn->call(toBytes("late"));
+  // Bounded wait: a lost wakeup fails here in seconds, not at the ctest
+  // timeout.
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!Response.isCompleted() && std::chrono::steady_clock::now() < GiveUp)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  if (!Response.isCompleted()) {
+    // close() would wait on the same lost wakeup; the server's shutdown
+    // unparks the shard instead.
+    (void)Conn.release();
+    FAIL() << "a parked shard missed the wakeup for a late request";
+  }
+  EXPECT_EQ(toString(Response.get()), "echo:late");
+  Conn->close();
 }
 
 TEST(ServerTest, RpcCountsMonitorMetrics) {

@@ -205,13 +205,12 @@ TEST(ReactorDifferentialTest, RandomizedSizesStressTheEnvelopeCodec) {
 }
 
 TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
-  // The executor seam and the timer wheel must be invisible to the
-  // differential contract: a handler that stalls (real mode only — the
-  // stall changes timing, never bytes) pushes its connections over the
-  // offload threshold, so some frames run inline on shard threads and
-  // some on the per-shard executor, with idle-cull timers armed
-  // throughout. Responses must still match the simulation byte-for-byte
-  // in per-connection order.
+  // The executor seam must be invisible to the differential contract: a
+  // handler that stalls (real mode only — the stall changes timing, never
+  // bytes) pushes its connections over the offload threshold, so some
+  // frames run inline on shard threads and some on the per-shard
+  // executor. Responses must still match the simulation byte-for-byte in
+  // per-connection order.
   for (uint64_t Seed : {21ull, 0xfadedULL}) {
     SCOPED_TRACE("slow-mix seed=" + std::to_string(Seed));
     Script S = makeEchoScript(Seed, /*Conns=*/6, /*PerConn=*/24);
@@ -231,7 +230,6 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
       Opts.Shards = 2;
       Opts.Deterministic = true;
       Opts.Seed = Seed ^ 0x9e3779b97f4a7c15ULL;
-      Opts.IdleTimeoutNanos = 500'000'000; // armed, far beyond the run
       Server Srv("sim", MakeHandler(false), Opts);
       Sim = execute(Srv, S);
     }
@@ -241,7 +239,6 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
       Opts.OffloadHandlers = true;
       Opts.OffloadThreads = 2;
       Opts.OffloadThresholdNanos = 50'000; // the stall crosses this
-      Opts.IdleTimeoutNanos = 500'000'000;
       Server Srv("real", MakeHandler(true), Opts);
       Real = execute(Srv, S);
     }

@@ -181,165 +181,3 @@ TEST(ReactorSimTest, VirtualTimeIsReproducible) {
   EXPECT_GT(First, 0u);
   EXPECT_EQ(First, RunOnce());
 }
-
-//===----------------------------------------------------------------------===//
-// Timer wheel under virtual time: request deadlines and idle culling
-//===----------------------------------------------------------------------===//
-
-TEST(ReactorSimTest, RequestDeadlineExpiresUnderVirtualTime) {
-  Server Srv("sim", echoHandler, simOptions(1, 42));
-  auto Conn = Srv.connect();
-  // Never pumped: the only thing that can complete this future is the
-  // deadline timer in the shard's wheel, driven by the virtual clock.
-  auto Fut = Conn->call(toBytes("late"), /*DeadlineAfterNanos=*/2'000'000);
-  EXPECT_FALSE(Fut.isCompleted());
-  Srv.advanceVirtualTime(1'000'000);
-  EXPECT_FALSE(Fut.isCompleted()) << "deadline fired a full tick early";
-  Srv.advanceVirtualTime(4'000'000);
-  ASSERT_TRUE(Fut.isCompleted());
-  EXPECT_TRUE(Fut.await().isFailure());
-  EXPECT_EQ(Fut.await().error(), "request deadline exceeded");
-  // The stale frame is still queued; draining it must not invoke the
-  // handler for an already-expired request.
-  Srv.runUntilIdle();
-  EXPECT_EQ(Srv.requestsHandled(), 0u);
-  Conn->close();
-}
-
-TEST(ReactorSimTest, DeadlineFiringOrderFollowsDeadlinesNotSubmission) {
-  Server Srv("sim", echoHandler, simOptions(1, 42));
-  // Submission order is scrambled relative to expiry order; the wheel
-  // must fire strictly by deadline (all ticks distinct).
-  const uint64_t DeadlineMillis[] = {6, 2, 9, 4, 7, 3};
-  std::vector<std::unique_ptr<ClientConnection>> Pool;
-  std::vector<unsigned> Fired;
-  for (unsigned I = 0; I < 6; ++I) {
-    Pool.push_back(Srv.connect());
-    Pool[I]
-        ->call(toBytes("r" + std::to_string(I)),
-               DeadlineMillis[I] * 1'000'000)
-        .onComplete(ren::futures::InlineExecutor::get(),
-                    [&Fired, I](const ren::futures::Try<Bytes> &T) {
-                      ASSERT_TRUE(T.isFailure());
-                      Fired.push_back(I);
-                    });
-  }
-  Srv.advanceVirtualTime(20'000'000);
-  EXPECT_EQ(Fired, (std::vector<unsigned>{1, 5, 3, 0, 4, 2}));
-  for (auto &Conn : Pool)
-    Conn->close();
-}
-
-TEST(ReactorSimTest, CompletedRequestIgnoresLaterDeadlineExpiry) {
-  Server Srv("sim", echoHandler, simOptions(1, 42));
-  auto Conn = Srv.connect();
-  auto Fut = Conn->call(toBytes("fast"), /*DeadlineAfterNanos=*/50'000'000);
-  Srv.runUntilIdle();
-  ASSERT_TRUE(Fut.isCompleted());
-  EXPECT_EQ(toString(Fut.get()), "echo:fast");
-  // Lazy cancellation: the armed timer still fires, but its tryFailure
-  // must lose to the response that already landed.
-  Srv.advanceVirtualTime(100'000'000);
-  EXPECT_TRUE(Fut.await().isSuccess());
-  EXPECT_EQ(toString(Fut.get()), "echo:fast");
-  Conn->close();
-}
-
-namespace {
-
-/// A mixed deadline/traffic/idle-cull scenario under one seed; the log of
-/// completions, expiries, and cull observations is returned verbatim so
-/// runs can be compared for seed-stability.
-std::vector<std::string> timeoutSchedule(uint64_t Seed) {
-  ServerOptions Opts = simOptions(2, Seed);
-  Opts.IdleTimeoutNanos = 8'000'000;
-  Server Srv("sim", echoHandler, Opts);
-  std::vector<std::string> Log;
-  std::vector<std::unique_ptr<ClientConnection>> Pool;
-  for (unsigned C = 0; C < 4; ++C)
-    Pool.push_back(Srv.connect());
-  for (unsigned C = 0; C < 4; ++C)
-    for (unsigned R = 0; R < 3; ++R) {
-      uint64_t Deadline = (C + R) % 2 ? 2'000'000 : 60'000'000;
-      Pool[C]
-          ->call(toBytes(std::to_string(C) + ":" + std::to_string(R)),
-                 Deadline)
-          .onComplete(ren::futures::InlineExecutor::get(),
-                      [&Log, C, R](const ren::futures::Try<Bytes> &T) {
-                        Log.push_back(std::to_string(C) + ":" +
-                                      std::to_string(R) +
-                                      (T.isSuccess() ? ":ok" : ":expired"));
-                      });
-    }
-  Srv.pump(5); // a seeded prefix completes before any deadline can fire
-  Srv.advanceVirtualTime(4'000'000); // short deadlines expire
-  Srv.runUntilIdle();                // the rest complete (long deadlines)
-  Srv.advanceVirtualTime(20'000'000); // idle timeout culls everything
-  for (unsigned C = 0; C < 4; ++C)
-    Log.push_back("open:" + std::to_string(C) + ":" +
-                  (Pool[C]->isServerOpen() ? "y" : "n"));
-  Log.push_back("live:" + std::to_string(Srv.connectionsLive()));
-  for (auto &Conn : Pool)
-    Conn->close();
-  return Log;
-}
-
-} // namespace
-
-TEST(ReactorSimTest, TimeoutFiringScheduleIsSeedStable) {
-  for (uint64_t Seed : {17ull, 0xc0ffeeULL}) {
-    auto A = timeoutSchedule(Seed);
-    auto B = timeoutSchedule(Seed);
-    EXPECT_EQ(A, B) << "seed " << Seed
-                    << ": timer firing interleaved differently across runs";
-    // Every connection ends culled regardless of schedule.
-    EXPECT_EQ(A.back(), "live:0");
-  }
-}
-
-TEST(ReactorSimTest, IdleConnectionCulledUnderVirtualTime) {
-  ServerOptions Opts = simOptions(1, 42);
-  Opts.IdleTimeoutNanos = 5'000'000;
-  Server Srv("sim", echoHandler, Opts);
-  auto Conn = Srv.connect();
-  Srv.runUntilIdle(); // processes the Register announcement
-  EXPECT_EQ(Srv.connectionsLive(), 1u);
-  EXPECT_TRUE(Conn->isServerOpen());
-
-  Srv.advanceVirtualTime(10'000'000);
-  EXPECT_FALSE(Conn->isServerOpen());
-  EXPECT_EQ(Srv.connectionsLive(), 0u)
-      << "culled connection still registered";
-  auto Fut = Conn->call(toBytes("hello"));
-  ASSERT_TRUE(Fut.isCompleted()) << "culled call must fail fast";
-  EXPECT_EQ(Fut.await().error(), "connection idle timeout");
-
-  // Releasing the handle lets the graveyard sweep reclaim the memory;
-  // the close underneath still drains cleanly through the retired state.
-  Conn.reset();
-  Srv.runUntilIdle();
-  EXPECT_EQ(Srv.connectionsLive(), 0u);
-}
-
-TEST(ReactorSimTest, ActivityDefersIdleCulling) {
-  ServerOptions Opts = simOptions(1, 42);
-  Opts.IdleTimeoutNanos = 5'000'000;
-  Server Srv("sim", echoHandler, Opts);
-  auto Conn = Srv.connect();
-  Srv.runUntilIdle();
-  // Traffic every 3ms against a 5ms timeout: the lazy reschedule must
-  // keep pushing the cull out past each burst of activity.
-  for (int Round = 0; Round < 4; ++Round) {
-    Srv.advanceVirtualTime(3'000'000);
-    auto Fut = Conn->call(toBytes("keepalive"));
-    Srv.runUntilIdle();
-    ASSERT_TRUE(Fut.await().isSuccess())
-        << "round " << Round << ": active connection was culled";
-    EXPECT_TRUE(Conn->isServerOpen());
-  }
-  // Silence well past the timeout: now the cull must land.
-  Srv.advanceVirtualTime(12'000'000);
-  EXPECT_FALSE(Conn->isServerOpen());
-  EXPECT_EQ(Srv.connectionsLive(), 0u);
-  Conn->close();
-}

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -255,9 +256,11 @@ int main(int Argc, char **Argv) {
   Runner R(Opts);
   TracePlugin Tracer;
   ren::trace::TraceSession Session;
+  std::optional<ren::trace::PeriodicDrainer> Drainer;
   if (Tracing) {
     R.addPlugin(Tracer);
     Session.start();
+    Drainer.emplace(Session);
   }
 
   std::vector<RunResult> Results;
@@ -273,8 +276,6 @@ int main(int Argc, char **Argv) {
     if (!JitConfig.empty() && !Csv && !Json)
       printJitSummary(suiteName(S), Name, JitConfig);
     Results.push_back(std::move(Result));
-    if (Tracing)
-      Session.drain(); // keep ring laps rare on long selections
   }
 
   if (Csv)
@@ -283,6 +284,7 @@ int main(int Argc, char **Argv) {
     std::fputs(toJson(Results).c_str(), stdout);
 
   if (Tracing) {
+    Drainer.reset();
     Session.stop();
     if (!TracePath.empty()) {
       if (!Session.writeChromeJson(TracePath)) {
